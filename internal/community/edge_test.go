@@ -1,9 +1,11 @@
 package community
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/correlate"
 	"repro/internal/redteam"
 	"repro/internal/vm"
 	"repro/internal/webapp"
@@ -98,6 +100,61 @@ func TestStaleReportIgnored(t *testing.T) {
 		t.Fatalf("stale reports advanced the campaign to %v", st)
 	}
 	_ = ex
+}
+
+// TestManagerQuarantinesForgedTallies: under VetReports a check tally no
+// run can produce, or a second tally for the same check in one report,
+// quarantines its sender with a reason naming the forgery, while an
+// honest tally for the same check passes.
+func TestManagerQuarantinesForgedTallies(t *testing.T) {
+	app := webapp.MustBuild()
+	setupDB, _, err := core.Learn(app.Image, core.LearnConfig{
+		Inputs: [][]byte{redteam.LearningCorpus()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(ManagerConfig{
+		Image: app.Image, Seed: setupDB, VetReports: true,
+		BootstrapInputs: [][]byte{redteam.LearningCorpus()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := app.Labels["site_290162"]
+	failure := &FailureInfo{PC: site, Monitor: "MemoryFirewall", Stack: []uint32{}}
+	m.processReport(&RunReport{NodeID: "opener", Outcome: uint8(vm.OutcomeFailure), Failure: failure})
+	c := m.cases[site]
+	if c == nil || len(c.cands) == 0 {
+		t.Fatal("the failure opened no case with candidates")
+	}
+	tally := func(checks, violations uint64, lastViolated bool) correlate.Observation {
+		return correlate.Observation{
+			InvID: c.cands[0].Inv.ID(), FailureID: c.id,
+			Checks: checks, Violations: violations, LastViolated: lastViolated,
+		}
+	}
+	cases := []struct {
+		node   string
+		obs    []correlate.Observation
+		reason string // "" = honest, must not be quarantined
+	}{
+		{"honest", []correlate.Observation{tally(3, 1, true)}, ""},
+		{"no-checks", []correlate.Observation{tally(0, 0, false)}, "tallies no checks"},
+		{"over-violated", []correlate.Observation{tally(1, 2, true)}, "claims 2 violations in 1 checks"},
+		{"phantom-last", []correlate.Observation{tally(2, 0, true)}, "violated last check but no violations"},
+		{"repeated", []correlate.Observation{tally(1, 0, false), tally(1, 1, true)}, "repeated in one report"},
+	}
+	for _, tc := range cases {
+		m.processReport(&RunReport{NodeID: tc.node, Seq: c.phaseSeq, Outcome: uint8(vm.OutcomeExit), Observations: tc.obs})
+		got := m.Quarantined()[tc.node]
+		switch {
+		case tc.reason == "" && got != "":
+			t.Errorf("%s: honest tally quarantined: %s", tc.node, got)
+		case tc.reason != "" && !strings.Contains(got, tc.reason):
+			t.Errorf("%s: quarantine reason %q, want one naming %q", tc.node, got, tc.reason)
+		}
+	}
 }
 
 func TestLearnShardsCoverImage(t *testing.T) {

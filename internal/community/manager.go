@@ -1073,7 +1073,9 @@ func (m *Manager) quarantineLocked(nodeID, reason string) {
 // passes: the static image checks (checkReportStatic), plus the checks
 // only the manager's campaign state can answer — observations must
 // reference checks the manager actually issued (a known failure case and
-// one of its candidate invariants). Called with m.mu held.
+// one of its candidate invariants), each must be a tally a run could
+// produce, and a report carries at most one tally per check. Called with
+// m.mu held.
 func (m *Manager) checkReport(rep *RunReport) string {
 	if reason := checkReportStatic(m.conf.Image, rep); reason != "" {
 		return reason
@@ -1086,6 +1088,21 @@ func (m *Manager) checkReport(rep *RunReport) string {
 		}
 		if !c.candIDs[o.InvID] {
 			return fmt.Sprintf("observation for invariant %q never issued for case %q", o.InvID, o.FailureID)
+		}
+		switch {
+		case o.Checks == 0:
+			return fmt.Sprintf("observation for invariant %q of case %q tallies no checks", o.InvID, o.FailureID)
+		case o.Violations > o.Checks:
+			return fmt.Sprintf("observation for invariant %q of case %q claims %d violations in %d checks", o.InvID, o.FailureID, o.Violations, o.Checks)
+		case o.LastViolated && o.Violations == 0:
+			return fmt.Sprintf("observation for invariant %q of case %q claims a violated last check but no violations", o.InvID, o.FailureID)
+		}
+		// Earlier tallies are distinct issued checks (a repeat returns at
+		// once), so this scan is bounded by the open cases' candidates.
+		for _, prev := range rep.Observations[:i] {
+			if prev.FailureID == o.FailureID && prev.InvID == o.InvID {
+				return fmt.Sprintf("observation for invariant %q of case %q repeated in one report", o.InvID, o.FailureID)
+			}
 		}
 	}
 	return ""

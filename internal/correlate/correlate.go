@@ -2,11 +2,12 @@
 // given a failure location (and, when the Shadow Stack is enabled, the call
 // stack), it selects candidate invariants from the learned database, builds
 // patches that check them, and classifies each invariant's correlation with
-// the failure from the observation sequences those patches produce.
+// the failure from the per-run check tallies those patches produce.
 package correlate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -106,28 +107,38 @@ func SelectCandidates(db *daikon.DB, cfgdb *cfg.DB, failPC uint32, stack []uint3
 	return out
 }
 
-// Observation is one invariant-check result (§2.4.2): which invariant, for
-// which failure campaign, and whether it was satisfied.
+// Observation is one invariant's check tally for one run (§2.4.2): which
+// invariant, for which failure campaign, how many times its checking
+// patch ran, how many of those checks found it violated, and whether the
+// last check did. These are the only facts §2.4.3's classification needs
+// from a run.
 type Observation struct {
-	InvID     string
-	FailureID string
-	Satisfied bool
+	InvID        string
+	FailureID    string
+	Checks       uint64
+	Violations   uint64
+	LastViolated bool
 }
 
 // CheckSet is a deployed set of invariant-checking patches for one failure.
-// The observations stream is split into runs by the driver: StartRun begins
-// a fresh observation sequence, EndRun finalizes it with whether the
-// monitored failure recurred in that run.
+// The caller splits the checks into runs: StartRun begins a fresh tally,
+// EndRun finalizes it with whether the monitored failure recurred in that
+// run.
 type CheckSet struct {
 	FailureID string
 	Cands     []Candidate
 	Patches   []*vm.Patch
 
-	// pending two-variable first-operand values, keyed by invariant ID.
-	staged map[string]stagedVal
+	// The current run's tally per distinct invariant, by dense index in
+	// candidate order (candidates sharing an invariant share its index);
+	// touched lists the indices checked so far this run.
+	tallies []Observation
+	touched []int
+	// staged holds each two-variable invariant's pending first-operand
+	// value, by index.
+	staged []stagedVal
 
-	curObs []Observation
-	runs   []RunLog
+	runs []RunLog
 
 	// Totals for the Table 3 "(violated/total checks)" accounting.
 	TotalChecks     uint64
@@ -139,7 +150,8 @@ type stagedVal struct {
 	valid bool
 }
 
-// RunLog is the per-run observation record used for classification.
+// RunLog is the per-run record used for classification: one tally per
+// invariant checked in the run.
 type RunLog struct {
 	Detected bool // the campaign's failure was detected in this run
 	Obs      []Observation
@@ -149,40 +161,57 @@ type RunLog struct {
 // Patch IDs are prefixed with the failure ID so that concurrent campaigns
 // for different failures never collide.
 func BuildCheckSet(failureID string, cands []Candidate) *CheckSet {
-	cs := &CheckSet{FailureID: failureID, Cands: cands, staged: make(map[string]stagedVal)}
+	cs := &CheckSet{FailureID: failureID, Cands: cands}
+	index := make(map[string]int, len(cands))
 	for _, c := range cands {
-		inv := c.Inv
-		switch inv.NumVars() {
+		id := c.Inv.ID()
+		i, ok := index[id]
+		if !ok {
+			i = len(cs.tallies)
+			index[id] = i
+			cs.tallies = append(cs.tallies, Observation{InvID: id, FailureID: failureID})
+		}
+		switch c.Inv.NumVars() {
 		case 1:
-			cs.Patches = append(cs.Patches, cs.oneVarPatch(inv))
+			cs.Patches = append(cs.Patches, cs.oneVarPatch(c.Inv, i))
 		case 2:
-			cs.Patches = append(cs.Patches, cs.twoVarPatches(inv)...)
+			cs.Patches = append(cs.Patches, cs.twoVarPatches(c.Inv, i)...)
 		}
 	}
+	cs.staged = make([]stagedVal, len(cs.tallies))
 	return cs
 }
 
-func (cs *CheckSet) record(inv *daikon.Invariant, satisfied bool) {
+func (cs *CheckSet) record(i int, satisfied bool) {
+	t := &cs.tallies[i]
+	if t.Checks == 0 {
+		cs.touched = append(cs.touched, i)
+	}
+	t.Checks++
+	t.LastViolated = !satisfied
 	cs.TotalChecks++
 	if !satisfied {
+		t.Violations++
 		cs.TotalViolations++
 	}
-	cs.curObs = append(cs.curObs, Observation{
-		InvID: inv.ID(), FailureID: cs.FailureID, Satisfied: satisfied,
-	})
 }
 
-func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant) *vm.Patch {
+func (cs *CheckSet) patchID(role string, i int) string {
+	return fmt.Sprintf("%s/%s/%s", cs.FailureID, role, cs.tallies[i].InvID)
+}
+
+func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant, i int) *vm.Patch {
+	slot := int(inv.Var.Slot)
 	return &vm.Patch{
-		ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, inv.ID()),
+		ID:   cs.patchID("check", i),
 		Addr: inv.Var.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			val, err := ctx.EvalSlot(int(inv.Var.Slot))
+			val, err := ctx.EvalSlot(slot)
 			if err != nil {
 				return nil // the instruction is about to fault; no observation
 			}
-			cs.record(inv, inv.Holds(val, 0))
+			cs.record(i, inv.Holds(val, 0))
 			return nil
 		},
 	}
@@ -191,91 +220,101 @@ func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant) *vm.Patch {
 // twoVarPatches builds the auxiliary patch that stages the first variable's
 // value and the checking patch at the second instruction (§2.4.2). When
 // both variables belong to one instruction a single patch suffices.
-func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant) []*vm.Patch {
-	checkPC := inv.PC()
+func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant, i int) []*vm.Patch {
 	if inv.Var.PC == inv.Var2.PC {
+		slot1, slot2 := int(inv.Var.Slot), int(inv.Var2.Slot)
 		return []*vm.Patch{{
-			ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, inv.ID()),
-			Addr: checkPC,
+			ID:   cs.patchID("check", i),
+			Addr: inv.PC(),
 			Prio: vm.PrioCheck,
 			Hook: func(ctx *vm.Ctx) error {
-				v1, err1 := ctx.EvalSlot(int(inv.Var.Slot))
-				v2, err2 := ctx.EvalSlot(int(inv.Var2.Slot))
+				v1, err1 := ctx.EvalSlot(slot1)
+				v2, err2 := ctx.EvalSlot(slot2)
 				if err1 != nil || err2 != nil {
 					return nil
 				}
-				cs.record(inv, inv.Holds(v1, v2))
+				cs.record(i, inv.Holds(v1, v2))
 				return nil
 			},
 		}}
 	}
-	early, earlySlot := inv.Var, inv.Var.Slot
-	late, lateSlot := inv.Var2, inv.Var2.Slot
-	if late.PC < early.PC {
+	early, late := inv.Var, inv.Var2
+	swapped := late.PC < early.PC
+	if swapped {
 		early, late = late, early
-		earlySlot, lateSlot = lateSlot, earlySlot
 	}
-	id := inv.ID()
+	earlySlot, lateSlot := int(early.Slot), int(late.Slot)
 	stage := &vm.Patch{
-		ID:   fmt.Sprintf("%s/stage/%s", cs.FailureID, id),
+		ID:   cs.patchID("stage", i),
 		Addr: early.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			val, err := ctx.EvalSlot(int(earlySlot))
-			if err != nil {
-				cs.staged[id] = stagedVal{}
-				return nil
-			}
-			cs.staged[id] = stagedVal{val: val, valid: true}
+			val, err := ctx.EvalSlot(earlySlot)
+			cs.staged[i] = stagedVal{val: val, valid: err == nil}
 			return nil
 		},
 	}
 	check := &vm.Patch{
-		ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, id),
+		ID:   cs.patchID("check", i),
 		Addr: late.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			st := cs.staged[id]
+			st := cs.staged[i]
 			if !st.valid {
 				return nil
 			}
-			lateVal, err := ctx.EvalSlot(int(lateSlot))
+			lateVal, err := ctx.EvalSlot(lateSlot)
 			if err != nil {
 				return nil
 			}
 			v1, v2 := st.val, lateVal
-			if early != inv.Var {
+			if swapped {
 				v1, v2 = v2, v1
 			}
-			cs.record(inv, inv.Holds(v1, v2))
+			cs.record(i, inv.Holds(v1, v2))
 			return nil
 		},
 	}
 	return []*vm.Patch{stage, check}
 }
 
-// StartRun begins a fresh observation sequence for one execution.
+// StartRun begins a fresh tally for one execution.
 func (cs *CheckSet) StartRun() {
-	cs.curObs = nil
-	cs.staged = make(map[string]stagedVal)
+	cs.clearRun()
+	clear(cs.staged)
 }
 
-// DrainRun returns and clears the current run's observations without
-// classifying them locally. Community nodes use this to stream the
-// observations to the central manager, which performs the classification
-// (§3.2: the patches "generate a stream of invariant check observations
-// that are sent back to the centralized ClearView manager").
+func (cs *CheckSet) clearRun() {
+	for _, i := range cs.touched {
+		t := &cs.tallies[i]
+		t.Checks, t.Violations, t.LastViolated = 0, 0, false
+	}
+	cs.touched = cs.touched[:0]
+}
+
+// DrainRun returns and clears the current run's tallies, one per checked
+// invariant in candidate order, without classifying them locally.
+// Community nodes use this to send the run's checks to the central
+// manager, which performs the classification (§3.2: the patches "generate
+// a stream of invariant check observations that are sent back to the
+// centralized ClearView manager").
 func (cs *CheckSet) DrainRun() []Observation {
-	obs := cs.curObs
-	cs.curObs = nil
-	return obs
+	var out []Observation
+	if len(cs.touched) > 0 {
+		slices.Sort(cs.touched)
+		out = make([]Observation, len(cs.touched))
+		for k, i := range cs.touched {
+			out[k] = cs.tallies[i]
+		}
+	}
+	cs.clearRun()
+	return out
 }
 
-// EndRun finalizes the current run's observations, recording whether the
+// EndRun finalizes the current run's tallies, recording whether the
 // campaign's failure was detected during the run.
 func (cs *CheckSet) EndRun(detected bool) {
-	cs.runs = append(cs.runs, RunLog{Detected: detected, Obs: cs.curObs})
-	cs.curObs = nil
+	cs.runs = append(cs.runs, RunLog{Detected: detected, Obs: cs.DrainRun()})
 }
 
 // DetectedRuns returns how many recorded runs ended in the campaign's
@@ -326,62 +365,55 @@ func (c Correlation) String() string {
 // Classify computes each invariant's correlation with the failure from the
 // recorded run logs (§2.4.3). Only runs in which the failure was detected
 // participate; an invariant that was never checked in some failing run
-// cannot be highly or moderately correlated.
+// cannot be highly or moderately correlated. Repeated tallies for one
+// invariant within a run merge: their counts add and the last one's
+// LastViolated stands, so one tally per check classifies exactly as one
+// tally per run.
 func Classify(runs []RunLog) map[string]Correlation {
-	type perInv struct {
-		// Per failing run: the satisfaction sequence.
-		seqs [][]bool
+	type verdict struct {
+		lastViolatedRuns int  // failing runs whose last check violated it
+		extra, any       bool // a violation before the last check; any violation
 	}
-	invs := map[string]*perInv{}
+	verdicts := map[string]*verdict{}
 	failingRuns := 0
 	for _, r := range runs {
 		if !r.Detected {
 			continue
 		}
 		failingRuns++
-		byInv := map[string][]bool{}
+		merged := map[string]Observation{}
 		for _, o := range r.Obs {
-			byInv[o.InvID] = append(byInv[o.InvID], o.Satisfied)
+			if o.Checks == 0 {
+				continue // a tally of no checks observes nothing
+			}
+			m := merged[o.InvID]
+			m.Violations += o.Violations
+			m.LastViolated = o.LastViolated
+			merged[o.InvID] = m
 		}
-		for id, seq := range byInv {
-			pi := invs[id]
-			if pi == nil {
-				pi = &perInv{}
-				invs[id] = pi
+		for id, m := range merged {
+			v := verdicts[id]
+			if v == nil {
+				v = &verdict{}
+				verdicts[id] = v
 			}
-			for len(pi.seqs) < failingRuns-1 {
-				pi.seqs = append(pi.seqs, nil) // runs where it was unchecked
+			last := uint64(0)
+			if m.LastViolated {
+				v.lastViolatedRuns++
+				last = 1
 			}
-			pi.seqs = append(pi.seqs, seq)
+			v.extra = v.extra || m.Violations > last
+			v.any = v.any || m.Violations > 0
 		}
 	}
-	out := map[string]Correlation{}
-	for id, pi := range invs {
-		for len(pi.seqs) < failingRuns {
-			pi.seqs = append(pi.seqs, nil)
-		}
-		violatedLastEveryRun := true
-		extraViolation := false
-		anyViolation := false
-		for _, seq := range pi.seqs {
-			if len(seq) == 0 || seq[len(seq)-1] {
-				violatedLastEveryRun = false
-			}
-			for i, sat := range seq {
-				if !sat {
-					anyViolation = true
-					if i != len(seq)-1 {
-						extraViolation = true
-					}
-				}
-			}
-		}
+	out := make(map[string]Correlation, len(verdicts))
+	for id, v := range verdicts {
 		switch {
-		case violatedLastEveryRun && !extraViolation:
+		case v.lastViolatedRuns == failingRuns && !v.extra:
 			out[id] = HighlyCorrelated
-		case violatedLastEveryRun:
+		case v.lastViolatedRuns == failingRuns:
 			out[id] = ModeratelyCorrelated
-		case anyViolation:
+		case v.any:
 			out[id] = SlightlyCorrelated
 		default:
 			out[id] = NotCorrelated

@@ -1,6 +1,9 @@
 package correlate
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -13,8 +16,14 @@ import (
 
 func v(pc uint32, slot uint8) daikon.VarID { return daikon.VarID{PC: pc, Slot: slot} }
 
+// obs is one check as a tally: Classify merges a run's repeated tallies,
+// so a sequence of these is the per-check stream it classifies.
 func obs(id string, sat bool) Observation {
-	return Observation{InvID: id, FailureID: "f", Satisfied: sat}
+	o := Observation{InvID: id, FailureID: "f", Checks: 1, LastViolated: !sat}
+	if !sat {
+		o.Violations = 1
+	}
+	return o
 }
 
 func TestClassifyHighly(t *testing.T) {
@@ -296,4 +305,239 @@ func TestCheckSetTwoVarAcrossInstructions(t *testing.T) {
 	if cs.TotalChecks != 1 || cs.TotalViolations != 1 {
 		t.Errorf("checks/violations = %d/%d", cs.TotalChecks, cs.TotalViolations)
 	}
+}
+
+// check is one invariant check in a run's per-check stream.
+type check struct {
+	inv string
+	sat bool
+}
+
+// seqRun is one run as the sequence of checks it made, in order.
+type seqRun struct {
+	detected bool
+	checks   []check
+}
+
+// referenceClassify is §2.4.3 stated over each invariant's per-check
+// satisfaction sequence in every failure-detecting run, kept as the oracle
+// for Classify's tally form.
+func referenceClassify(runs []seqRun) map[string]Correlation {
+	seqs := map[string][][]bool{}
+	failingRuns := 0
+	for _, r := range runs {
+		if !r.detected {
+			continue
+		}
+		failingRuns++
+		byInv := map[string][]bool{}
+		for _, c := range r.checks {
+			byInv[c.inv] = append(byInv[c.inv], c.sat)
+		}
+		for id, seq := range byInv {
+			for len(seqs[id]) < failingRuns-1 {
+				seqs[id] = append(seqs[id], nil) // runs where it was unchecked
+			}
+			seqs[id] = append(seqs[id], seq)
+		}
+	}
+	out := map[string]Correlation{}
+	for id, runSeqs := range seqs {
+		for len(runSeqs) < failingRuns {
+			runSeqs = append(runSeqs, nil)
+		}
+		violatedLastEveryRun, extraViolation, anyViolation := true, false, false
+		for _, seq := range runSeqs {
+			if len(seq) == 0 || seq[len(seq)-1] {
+				violatedLastEveryRun = false
+			}
+			for i, sat := range seq {
+				if !sat {
+					anyViolation = true
+					extraViolation = extraViolation || i != len(seq)-1
+				}
+			}
+		}
+		switch {
+		case violatedLastEveryRun && !extraViolation:
+			out[id] = HighlyCorrelated
+		case violatedLastEveryRun:
+			out[id] = ModeratelyCorrelated
+		case anyViolation:
+			out[id] = SlightlyCorrelated
+		default:
+			out[id] = NotCorrelated
+		}
+	}
+	return out
+}
+
+// fold tallies each run's checks, one tally per invariant in first-check
+// order, after cutting each invariant's checks into chunks of at most
+// chunk checks (0: no cut). Chunks of one invariant stay in check order.
+func fold(runs []seqRun, chunk int) []RunLog {
+	var logs []RunLog
+	for _, r := range runs {
+		var order []string
+		tallies := map[string][]Observation{}
+		for _, c := range r.checks {
+			ts := tallies[c.inv]
+			if ts == nil {
+				order = append(order, c.inv)
+			}
+			if len(ts) == 0 || (chunk > 0 && ts[len(ts)-1].Checks == uint64(chunk)) {
+				ts = append(ts, Observation{InvID: c.inv, FailureID: "f"})
+			}
+			t := &ts[len(ts)-1]
+			t.Checks++
+			t.LastViolated = !c.sat
+			if !c.sat {
+				t.Violations++
+			}
+			tallies[c.inv] = ts
+		}
+		log := RunLog{Detected: r.detected}
+		for _, id := range order {
+			log.Obs = append(log.Obs, tallies[id]...)
+		}
+		logs = append(logs, log)
+	}
+	return logs
+}
+
+// TestClassifyMatchesReference is the classification oracle: random
+// per-check satisfaction sequences over several invariants and detected
+// and undetected runs classify identically under the sequence-based
+// reference, as one tally per check, folded into one tally per invariant
+// per run, and folded into chunks that Classify must merge.
+func TestClassifyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	invs := []string{"a", "b", "c", "d", "e"}
+	seen := map[Correlation]int{}
+	for trial := 0; trial < 3000; trial++ {
+		runs := make([]seqRun, rng.Intn(6))
+		for ri := range runs {
+			runs[ri].detected = rng.Intn(4) != 0
+			violation := rng.Float64() // per-run violation rate
+			for n := rng.Intn(12); n > 0; n-- {
+				runs[ri].checks = append(runs[ri].checks, check{
+					inv: invs[rng.Intn(len(invs))],
+					sat: rng.Float64() >= violation,
+				})
+			}
+		}
+		want := referenceClassify(runs)
+		for _, c := range want {
+			seen[c]++
+		}
+		var perCheck []RunLog
+		for _, r := range runs {
+			log := RunLog{Detected: r.detected}
+			for _, c := range r.checks {
+				log.Obs = append(log.Obs, obs(c.inv, c.sat))
+			}
+			perCheck = append(perCheck, log)
+		}
+		forms := map[string][]RunLog{
+			"per-check": perCheck,
+			"folded":    fold(runs, 0),
+			"chunked":   fold(runs, 1+rng.Intn(3)),
+		}
+		for name, logs := range forms {
+			if got := Classify(logs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s tallies: Classify = %v, reference = %v\nruns: %+v", trial, name, got, want, runs)
+			}
+		}
+	}
+	for c := NotCorrelated; c <= HighlyCorrelated; c++ {
+		if seen[c] < 100 {
+			t.Errorf("only %d %v classifications drawn; the generator does not cover every tier", seen[c], c)
+		}
+	}
+}
+
+// TestCheckSetTalliesSumToTotals drives a real CheckSet through runs of a
+// loop whose checks are violated at its start, at its end and in its
+// middle, and requires every emitted tally to be one an honest run can
+// produce and the tallies to sum to the Table 3 totals.
+func TestCheckSetTalliesSumToTotals(t *testing.T) {
+	img, labels := buildCheckLoop(t)
+	cands := []Candidate{
+		{Inv: &daikon.Invariant{Kind: daikon.KindLowerBound, Var: v(labels["first"], 0), Bound: 3}},
+		{Inv: &daikon.Invariant{Kind: daikon.KindLowerBound, Var: v(labels["site"], 0), Bound: 2}},
+		{Inv: &daikon.Invariant{Kind: daikon.KindLessThan, Var: v(labels["first"], 0), Var2: v(labels["site"], 0)}},
+		{Inv: &daikon.Invariant{Kind: daikon.KindLessThan, Var: v(labels["pair"], 0), Var2: v(labels["pair"], 1)}},
+	}
+	cs := BuildCheckSet("fail@loop", cands)
+	for trips := uint32(1); trips <= 6; trips++ {
+		cs.StartRun()
+		machine, err := vm.New(vm.Config{Image: img, Input: tripInput(trips), Patches: cs.Patches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := machine.Run(); res.Outcome != vm.OutcomeExit {
+			t.Fatalf("trips %d: %v", trips, res.Outcome)
+		}
+		cs.EndRun(trips%2 == 0)
+	}
+	var checks, violations uint64
+	for ri, r := range cs.Runs() {
+		if len(r.Obs) != len(cands) {
+			t.Fatalf("run %d: %d tallies, want one per candidate", ri, len(r.Obs))
+		}
+		for k, o := range r.Obs {
+			if o.InvID != cands[k].Inv.ID() || o.FailureID != "fail@loop" {
+				t.Fatalf("run %d tally %d is %s/%s, want candidate order", ri, k, o.FailureID, o.InvID)
+			}
+			if o.Checks == 0 || o.Violations > o.Checks || (o.LastViolated && o.Violations == 0) {
+				t.Fatalf("run %d: implausible tally %+v", ri, o)
+			}
+			checks += o.Checks
+			violations += o.Violations
+		}
+	}
+	if checks != cs.TotalChecks || violations != cs.TotalViolations {
+		t.Fatalf("tallies sum to %d checks / %d violations, totals are %d / %d",
+			checks, violations, cs.TotalChecks, cs.TotalViolations)
+	}
+	if violations == 0 || violations == checks {
+		t.Fatalf("degenerate loop: %d violations in %d checks", violations, checks)
+	}
+}
+
+// buildCheckLoop assembles a loop that reads its trip count n from the
+// input and, on iteration i, observes i at "first", n-i+1 at "site", and
+// both at "pair" (regA = i, regB = n-i+1).
+func buildCheckLoop(t testing.TB) (*image.Image, map[string]uint32) {
+	a := asm.New(0x1000)
+	a.Label("main")
+	a.MovRR(isa.EDX, isa.ESP)
+	a.SubRI(isa.EDX, 64)
+	a.MovRR(isa.EAX, isa.EDX)
+	a.MovRI(isa.ECX, 4)
+	a.Sys(isa.SysRead)
+	a.Load(isa.EBX, asm.M(isa.EDX, 0))
+	a.MovRI(isa.ESI, 0)
+	a.Label("loop")
+	a.AddRI(isa.ESI, 1)
+	a.Label("first")
+	a.MovRR(isa.EDI, isa.ESI)
+	a.Label("site")
+	a.MovRR(isa.ECX, isa.EBX)
+	a.Label("pair")
+	a.CmpRR(isa.EDI, isa.ECX)
+	a.SubRI(isa.EBX, 1)
+	a.CmpRI(isa.EBX, 0)
+	a.Jne("loop")
+	a.MovRI(isa.EAX, 0)
+	a.Sys(isa.SysExit)
+	code, labels, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &image.Image{Base: 0x1000, Entry: labels["main"], Code: code}, labels
+}
+
+func tripInput(n uint32) []byte {
+	return binary.LittleEndian.AppendUint32(nil, n)
 }

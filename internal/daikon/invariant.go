@@ -20,7 +20,7 @@ import (
 )
 
 // VarID identifies a binary-level variable: slot Slot of the instruction at
-// PC (see isa.Slots for the slot model).
+// PC (see isa.Layout for the slot model).
 type VarID struct {
 	PC   uint32
 	Slot uint8

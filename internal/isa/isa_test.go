@@ -120,14 +120,14 @@ func TestSlots(t *testing.T) {
 		{Inst{Op: JMP, X: NoReg, Imm: 8}, nil},
 	}
 	for _, tc := range tests {
-		got := Slots(tc.in)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: got %v want kinds %v", tc.in, got, tc.want)
+		got := Layout(tc.in)
+		if got.Len() != len(tc.want) {
+			t.Errorf("%s: got %d slots want kinds %v", tc.in, got.Len(), tc.want)
 			continue
 		}
-		for i, s := range got {
-			if s.Kind != tc.want[i] {
-				t.Errorf("%s slot %d: got %v want %v", tc.in, i, s.Kind, tc.want[i])
+		for i := 0; i < got.Len(); i++ {
+			if k := got.At(i).Kind; k != tc.want[i] {
+				t.Errorf("%s slot %d: got %v want %v", tc.in, i, k, tc.want[i])
 			}
 		}
 	}
@@ -136,15 +136,15 @@ func TestSlots(t *testing.T) {
 func TestTargetSlot(t *testing.T) {
 	callm := Inst{Op: CALLM, B: EAX, X: NoReg, Imm: 0}
 	ts := TargetSlot(callm)
-	if ts < 0 || Slots(callm)[ts].Kind != SlotMemVal {
+	if ts < 0 || Layout(callm).At(ts).Kind != SlotMemVal {
 		t.Errorf("CALLM target slot = %d", ts)
 	}
 	callr := Inst{Op: CALLR, A: EBX, X: NoReg}
-	if ts := TargetSlot(callr); ts != 0 || Slots(callr)[ts].Kind != SlotRegA {
+	if ts := TargetSlot(callr); ts != 0 || Layout(callr).At(ts).Kind != SlotRegA {
 		t.Errorf("CALLR target slot = %d", ts)
 	}
 	ret := Inst{Op: RET, X: NoReg}
-	if ts := TargetSlot(ret); Slots(ret)[ts].Kind != SlotMemVal {
+	if ts := TargetSlot(ret); Layout(ret).At(ts).Kind != SlotMemVal {
 		t.Errorf("RET target slot = %d", ts)
 	}
 	if ts := TargetSlot(Inst{Op: MOVRI, A: EAX, X: NoReg}); ts != -1 {
@@ -175,17 +175,17 @@ func TestStringRendering(t *testing.T) {
 
 func TestSextBSlotAndCopyBSlots(t *testing.T) {
 	sx := Inst{Op: SEXTB, A: ECX, X: NoReg}
-	slots := Slots(sx)
-	if len(slots) != 1 || slots[0].Kind != SlotRegA || slots[0].Reg != ECX {
-		t.Errorf("sextb slots = %v", slots)
+	slots := Layout(sx)
+	if slots.Len() != 1 || slots.At(0).Kind != SlotRegA || slots.At(0).Reg != ECX {
+		t.Errorf("sextb slots = %+v", slots)
 	}
 	cb := Inst{Op: COPYB, X: NoReg}
-	cs := Slots(cb)
-	if len(cs) != 3 || cs[0].Reg != ECX || cs[1].Reg != ESI || cs[2].Reg != EDI {
-		t.Errorf("copyb slots = %v", cs)
+	cs := Layout(cb)
+	if cs.Len() != 3 || cs.At(0).Reg != ECX || cs.At(1).Reg != ESI || cs.At(2).Reg != EDI {
+		t.Errorf("copyb slots = %+v", cs)
 	}
-	for _, s := range cs {
-		if !s.Settable() {
+	for i := 0; i < cs.Len(); i++ {
+		if s := cs.At(i); !s.Settable() {
 			t.Errorf("copyb slot %v not settable", s)
 		}
 	}

@@ -55,73 +55,81 @@ func (s SlotSpec) String() string {
 // assigned directly.
 func (s SlotSpec) Settable() bool { return s.Kind != SlotAddr }
 
-// Slots returns the observable slots of an instruction, in a fixed order
+// MaxSlots is the most slots any instruction has (a load, store or
+// memory-indirect call with an index register).
+const MaxSlots = 4
+
+// SlotLayout is an instruction's slots in index order, held by value so
+// that computing and reading it allocates nothing.
+type SlotLayout struct {
+	specs [MaxSlots]SlotSpec
+	n     uint8
+}
+
+// Len returns the number of slots.
+func (l SlotLayout) Len() int { return int(l.n) }
+
+// At returns slot i; i must be in [0, Len()).
+func (l SlotLayout) At(i int) SlotSpec { return l.specs[i] }
+
+func (l *SlotLayout) add(kind SlotKind, reg Reg) {
+	l.specs[l.n] = SlotSpec{Kind: kind, Reg: reg}
+	l.n++
+}
+
+// Layout returns the observable slots of an instruction, in a fixed order
 // that defines each slot's index. A variable in the invariant system is
 // identified by (instruction address, slot index), so this order is part of
 // the serialized-invariant format and must not change.
-func Slots(in Inst) []SlotSpec {
-	var out []SlotSpec
-	regA := func() { out = append(out, SlotSpec{Kind: SlotRegA, Reg: in.A}) }
-	regB := func() { out = append(out, SlotSpec{Kind: SlotRegB, Reg: in.B}) }
+func Layout(in Inst) SlotLayout {
+	var l SlotLayout
 	memOperand := func() {
-		regB()
+		l.add(SlotRegB, in.B)
 		if in.X.Valid() {
-			out = append(out, SlotSpec{Kind: SlotRegX, Reg: in.X})
+			l.add(SlotRegX, in.X)
 		}
-		out = append(out, SlotSpec{Kind: SlotAddr})
+		l.add(SlotAddr, 0)
 	}
 	switch in.Op {
 	case MOVRR:
-		regB()
-	case LOAD, LOADB, LOADA:
+		l.add(SlotRegB, in.B)
+	case LOAD, LOADB, LOADA, CALLM:
 		memOperand()
-		out = append(out, SlotSpec{Kind: SlotMemVal})
+		l.add(SlotMemVal, 0)
 	case STORE, STOREB:
-		regA()
+		l.add(SlotRegA, in.A)
 		memOperand()
 	case LEA:
 		memOperand()
 	case ADDRR, SUBRR, MULRR, ANDRR, ORRR, XORRR, CMPRR, DIVRR, MODRR:
-		regA()
-		regB()
-	case ADDRI, SUBRI, MULRI, ANDRI, ORRI, XORRI, SHLRI, SHRRI, SARRI, CMPRI, SEXTB:
-		regA()
-	case JMPR, CALLR, PUSH:
-		regA()
-	case CALLM:
-		memOperand()
-		out = append(out, SlotSpec{Kind: SlotMemVal})
+		l.add(SlotRegA, in.A)
+		l.add(SlotRegB, in.B)
+	case ADDRI, SUBRI, MULRI, ANDRI, ORRI, XORRI, SHLRI, SHRRI, SARRI, CMPRI, SEXTB,
+		JMPR, CALLR, PUSH:
+		l.add(SlotRegA, in.A)
 	case RET, POP:
-		out = append(out, SlotSpec{Kind: SlotAddr}, SlotSpec{Kind: SlotMemVal})
+		l.add(SlotAddr, 0)
+		l.add(SlotMemVal, 0)
 	case COPYB:
 		// Implicit operands of the block copy: count, source pointer,
 		// destination pointer. The count slot is the variable ClearView's
 		// copy-length invariants (lower-bound and less-than) range over.
-		out = append(out,
-			SlotSpec{Kind: SlotRegA, Reg: ECX},
-			SlotSpec{Kind: SlotRegB, Reg: ESI},
-			SlotSpec{Kind: SlotRegX, Reg: EDI},
-		)
+		l.add(SlotRegA, ECX)
+		l.add(SlotRegB, ESI)
+		l.add(SlotRegX, EDI)
 	}
-	return out
+	return l
 }
 
 // TargetSlot returns the slot index holding the control-transfer target of
 // an indirect transfer, or -1 if the instruction is not an indirect
 // transfer. Enforcing a one-of invariant on this slot redirects the
 // transfer (the "call a previously observed function" repair of §2.5.1).
+// The target is every indirect transfer's last slot: the register of
+// JMPR/CALLR, the pointer CALLM and RET load.
 func TargetSlot(in Inst) int {
-	switch in.Op {
-	case JMPR, CALLR:
-		return 0 // SlotRegA
-	case CALLM:
-		for i, s := range Slots(in) {
-			if s.Kind == SlotMemVal {
-				return i
-			}
-		}
-	case RET:
-		return 1 // SlotMemVal after SlotAddr
+	if !in.Op.IsIndirect() {
+		return -1
 	}
-	return -1
+	return Layout(in).Len() - 1
 }

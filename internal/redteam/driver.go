@@ -46,7 +46,24 @@ func NewSetup(expandedCorpus bool) (*Setup, error) {
 // Heap Guard + Shadow Stack, §4.2.2) plus the arithmetic-fault and hang
 // detectors the new failure classes need.
 func (s *Setup) ClearView(stackScope int) (*core.ClearView, error) {
-	return core.New(core.Config{
+	return core.New(s.config(stackScope))
+}
+
+// ReplayClearView builds a protected instance like ClearView but with the
+// record/replay fast path enabled: failing presentations are recorded and
+// candidate repairs are judged against the recording on a parallel farm,
+// so a deterministic exploit converges in two presentations instead of
+// 4+. workers 0 uses all CPUs.
+func (s *Setup) ReplayClearView(stackScope, workers int) (*core.ClearView, error) {
+	conf := s.config(stackScope)
+	conf.Replay = &core.ReplayConfig{Workers: workers}
+	return core.New(conf)
+}
+
+// config is the Red Team instance configuration ClearView and
+// ReplayClearView share.
+func (s *Setup) config(stackScope int) core.Config {
+	return core.Config{
 		Image:          s.App.Image,
 		Invariants:     s.DB,
 		StackScope:     stackScope,
@@ -56,26 +73,7 @@ func (s *Setup) ClearView(stackScope int) (*core.ClearView, error) {
 		FaultGuard:     true,
 		HangGuard:      true,
 		Obs:            s.Obs,
-	})
-}
-
-// ReplayClearView builds a protected instance like ClearView but with the
-// record/replay fast path enabled: failing presentations are recorded and
-// candidate repairs are judged against the recording on a parallel farm,
-// so a deterministic exploit converges in two presentations instead of
-// 4+. workers 0 uses all CPUs.
-func (s *Setup) ReplayClearView(stackScope, workers int) (*core.ClearView, error) {
-	return core.New(core.Config{
-		Image:          s.App.Image,
-		Invariants:     s.DB,
-		StackScope:     stackScope,
-		MemoryFirewall: true,
-		HeapGuard:      true,
-		ShadowStack:    true,
-		FaultGuard:     true,
-		HangGuard:      true,
-		Replay:         &core.ReplayConfig{Workers: workers},
-	})
+	}
 }
 
 // RecordAttack captures one failing presentation of an exploit as a

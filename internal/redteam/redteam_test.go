@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -75,6 +76,28 @@ func runExploit(t *testing.T, id string) AttackResult {
 		t.Fatal(err)
 	}
 	return RunSingleVariant(cv, setup.App, ex, 20)
+}
+
+// TestReplayClearViewTracesStages: an instance from ReplayClearView traces
+// into Setup.Obs like one from ClearView, so a replay campaign records its
+// farm stage spans.
+func TestReplayClearViewTracesStages(t *testing.T) {
+	base := getSetup(t, false)
+	reg := obs.New()
+	s := &Setup{App: base.App, DB: base.DB, Obs: obs.NewTracer(reg)}
+	cv, err := s.ReplayClearView(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := RunSingleVariant(cv, s.App, exploitByID(t, "290162"), 4); !res.Patched {
+		t.Fatalf("replay campaign did not patch: %+v", res)
+	}
+	snap := reg.Snapshot()
+	for _, stage := range []string{"farm", "correlate"} {
+		if st := snap.Stage(stage); st == nil || st.Spans == 0 {
+			t.Errorf("no %s spans recorded", stage)
+		}
+	}
 }
 
 func TestTable1Presentations(t *testing.T) {

@@ -21,19 +21,19 @@ import (
 // from one address stay distinct variables — which keeps the analysis
 // conservative in the presence of aliasing.
 
-// dupSlots returns, for each instruction of the block, which slot
-// observations are statically known duplicates of an earlier variable.
-func dupSlots(b *vm.Block) [][]bool {
+// dupSlots returns, for each instruction of the block, a mask of the slot
+// observations that are statically known duplicates of an earlier
+// variable (bit si set: slot si is a duplicate).
+func dupSlots(b *vm.Block) []uint8 {
 	known := map[isa.Reg]bool{}
-	out := make([][]bool, len(b.Insts))
+	out := make([]uint8, len(b.Insts))
 	for i, in := range b.Insts {
-		slots := isa.Slots(in)
-		dup := make([]bool, len(slots))
-		for si, sp := range slots {
-			switch sp.Kind {
+		l := isa.Layout(in)
+		for si := 0; si < l.Len(); si++ {
+			switch sp := l.At(si); sp.Kind {
 			case isa.SlotRegA, isa.SlotRegB, isa.SlotRegX:
 				if known[sp.Reg] {
-					dup[si] = true
+					out[i] |= 1 << si
 				} else {
 					// First observation of this register value becomes
 					// the canonical variable.
@@ -41,7 +41,6 @@ func dupSlots(b *vm.Block) [][]bool {
 				}
 			}
 		}
-		out[i] = dup
 		applyWriteEffects(in, known)
 	}
 	return out
@@ -83,11 +82,11 @@ func applyWriteEffects(in isa.Inst, known map[isa.Reg]bool) {
 
 // observedSlots returns the slot indices to record for instruction i of
 // the block, honouring duplicate elimination unless disabled.
-func (r *Recorder) observedSlots(dups [][]bool, i int, in isa.Inst) []int {
-	slots := isa.Slots(in)
-	out := make([]int, 0, len(slots))
-	for si := range slots {
-		if !r.DisableDupElim && dups[i][si] {
+func (r *Recorder) observedSlots(dups []uint8, i int, in isa.Inst) []int {
+	l := isa.Layout(in)
+	out := make([]int, 0, l.Len())
+	for si := 0; si < l.Len(); si++ {
+		if !r.DisableDupElim && dups[i]&(1<<si) != 0 {
 			continue
 		}
 		out = append(out, si)

@@ -23,14 +23,57 @@ func imageFor(code []byte, labels map[string]uint32) *image.Image {
 // the instrumented loop allocated a fresh Ctx per instruction, so 100k extra
 // iterations allocated ~900k extra objects.
 func TestHookedLoopZeroAllocs(t *testing.T) {
+	var hooks uint64
+	extra := hookedLoopExtraAllocs(t, func(ctx *Ctx) error {
+		hooks++
+		return nil
+	})
+	if hooks == 0 {
+		t.Fatal("hooks never ran")
+	}
+	if extra > 16 {
+		t.Fatalf("100k extra hooked iterations allocated %d extra objects; hooked path is not allocation-free", extra)
+	}
+}
+
+// TestSlotAccessZeroAllocs: a hook that reads every slot of every
+// instruction through Ctx.EvalSlot and writes each settable one back
+// through Ctx.SetSlot allocates nothing — the slot layout is a value, not
+// a slice built per call.
+func TestSlotAccessZeroAllocs(t *testing.T) {
+	var evals uint64
+	extra := hookedLoopExtraAllocs(t, func(ctx *Ctx) error {
+		l := isa.Layout(ctx.Inst)
+		for si := 0; si < l.Len(); si++ {
+			val, err := ctx.EvalSlot(si)
+			if err != nil {
+				return err
+			}
+			evals++
+			if l.At(si).Settable() {
+				if err := ctx.SetSlot(si, val); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if evals == 0 {
+		t.Fatal("no slot was read")
+	}
+	if extra > 16 {
+		t.Fatalf("100k extra iterations of slot reads and writes allocated %d extra objects", extra)
+	}
+}
+
+// hookedLoopExtraAllocs runs the hot loop with hook on every instruction
+// for 1k and for 101k trips and returns how many more objects the longer
+// run allocated.
+func hookedLoopExtraAllocs(t *testing.T, hook func(*Ctx) error) uint64 {
 	measure := func(trips uint64) uint64 {
-		var hooks uint64
 		pl := pluginFunc{name: "alloc-trace", f: func(v *VM, blk *Block) {
 			for i := range blk.Insts {
-				blk.AddHook(i, PrioTrace, func(ctx *Ctx) error {
-					hooks++
-					return nil
-				})
+				blk.AddHook(i, PrioTrace, hook)
 			}
 		}}
 		im := buildHotImage(t)
@@ -46,16 +89,14 @@ func TestHookedLoopZeroAllocs(t *testing.T) {
 		if res.Outcome != OutcomeExit || res.ExitCode != 0 {
 			t.Fatalf("res = %+v", res)
 		}
-		if hooks == 0 {
-			t.Fatal("hooks never ran")
-		}
 		return after.Mallocs - before.Mallocs
 	}
 	small := measure(1_000)
 	big := measure(101_000)
-	if big > small+16 {
-		t.Fatalf("100k extra hooked iterations allocated %d extra objects; hooked path is not allocation-free", big-small)
+	if big < small {
+		return 0
 	}
+	return big - small
 }
 
 // TestRunResetsEntryEdge: every Run must record its first edge with
