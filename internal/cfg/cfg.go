@@ -14,6 +14,7 @@
 package cfg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/image"
@@ -40,9 +41,9 @@ type Proc struct {
 	Entry  uint32
 	Blocks map[uint32]*BasicBlock
 
-	// dominators of each block (set of block starts, including itself),
+	// dominators of each block (sorted block starts, including itself),
 	// computed lazily.
-	doms map[uint32]map[uint32]bool
+	doms map[uint32][]uint32
 }
 
 // DB is the database of known control flow graphs, shared across runs.
@@ -345,7 +346,16 @@ func (p *Proc) computeDoms() {
 			}
 		}
 	}
-	p.doms = doms
+	// Keep the sets as sorted slices: they live as long as the CFG.
+	p.doms = make(map[uint32][]uint32, len(doms))
+	for s, set := range doms {
+		list := make([]uint32, 0, len(set))
+		for a := range set {
+			list = append(list, a)
+		}
+		slices.Sort(list)
+		p.doms[s] = list
+	}
 }
 
 // Predominates reports whether the instruction at i predominates the
@@ -359,7 +369,8 @@ func (p *Proc) Predominates(i, j uint32) bool {
 		return i <= j
 	}
 	p.computeDoms()
-	return p.doms[bj.Start][bi.Start]
+	_, ok := slices.BinarySearch(p.doms[bj.Start], bi.Start)
+	return ok
 }
 
 // Predominators returns the instruction addresses that predominate pc,
@@ -371,10 +382,7 @@ func (p *Proc) Predominators(pc uint32) []uint32 {
 		return nil
 	}
 	p.computeDoms()
-	var blocks []uint32
-	for s := range p.doms[bj.Start] {
-		blocks = append(blocks, s)
-	}
+	blocks := slices.Clone(p.doms[bj.Start])
 	// Dominators of a block form a chain; order by chain depth.
 	sort.Slice(blocks, func(i, j int) bool {
 		return len(p.doms[blocks[i]]) < len(p.doms[blocks[j]])

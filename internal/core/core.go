@@ -170,7 +170,7 @@ type FailureCase struct {
 
 	Stack        []uint32
 	Candidates   []correlate.Candidate
-	CheckSet     *correlate.CheckSet
+	CheckSet     *correlate.CheckSet // nil once classification has read it
 	Correlations map[string]correlate.Correlation
 	Repairs      []*repair.Repair
 	Evaluator    *evaluate.Evaluator
@@ -486,6 +486,7 @@ func (cv *ClearView) finishChecking(fc *FailureCase) {
 	fc.Metrics.CheckExecs = fc.CheckSet.TotalChecks
 	fc.Metrics.CheckViolations = fc.CheckSet.TotalViolations
 	fc.Correlations = correlate.Classify(fc.CheckSet.Runs())
+	fc.CheckSet = nil // nothing reads the checking patches or tallies again
 
 	buildStart := time.Now()
 	selected := correlate.SelectForRepair(fc.Candidates, fc.Correlations)

@@ -132,6 +132,9 @@ func TestPipelineRepairsHeapUnderflowInFourPresentations(t *testing.T) {
 	if fc.Metrics.RepairCount == 0 {
 		t.Fatal("no repairs generated")
 	}
+	if fc.CheckSet != nil || fc.Metrics.CheckExecs == 0 {
+		t.Fatal("classification must keep the check totals and release the check set")
+	}
 
 	// Presentation 4: the deployed repair corrects the error — the run
 	// survives the attack and continues.

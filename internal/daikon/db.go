@@ -21,7 +21,10 @@ type DB struct {
 	// hold" (invariant dies).
 	VarsSeen map[VarID]uint64
 
-	byPC map[uint32][]*Invariant // derived index, rebuilt as needed
+	// byPC is a derived index, rebuilt as needed: every invariant sorted
+	// by (PC, ID). A sorted slice rather than a map because the index
+	// lives as long as the DB.
+	byPC []*Invariant
 }
 
 // NewDB returns an empty database.
@@ -48,22 +51,37 @@ func (db *DB) index() {
 	if db.byPC != nil {
 		return
 	}
-	db.byPC = make(map[uint32][]*Invariant)
+	ids := make(map[*Invariant]string, len(db.ByID))
+	db.byPC = make([]*Invariant, 0, len(db.ByID))
 	for _, inv := range db.ByID {
-		pc := inv.PC()
-		db.byPC[pc] = append(db.byPC[pc], inv)
+		db.byPC = append(db.byPC, inv)
+		ids[inv] = inv.ID()
 	}
-	for _, list := range db.byPC {
-		sort.Slice(list, func(i, j int) bool { return list[i].ID() < list[j].ID() })
+	sort.Slice(db.byPC, func(i, j int) bool {
+		a, b := db.byPC[i], db.byPC[j]
+		if a.PC() != b.PC() {
+			return a.PC() < b.PC()
+		}
+		return ids[a] < ids[b]
+	})
+}
+
+// atPC returns the indexed invariants at pc, in ID order.
+func (db *DB) atPC(pc uint32) []*Invariant {
+	db.index()
+	lo := sort.Search(len(db.byPC), func(i int) bool { return db.byPC[i].PC() >= pc })
+	hi := lo
+	for hi < len(db.byPC) && db.byPC[hi].PC() == pc {
+		hi++
 	}
+	return db.byPC[lo:hi]
 }
 
 // At returns the invariants checked at the instruction at pc, in stable
 // order. SP-offset invariants are excluded (they are auxiliary).
 func (db *DB) At(pc uint32) []*Invariant {
-	db.index()
 	var out []*Invariant
-	for _, inv := range db.byPC[pc] {
+	for _, inv := range db.atPC(pc) {
 		if inv.Kind != KindSPOffset {
 			out = append(out, inv)
 		}
@@ -74,8 +92,7 @@ func (db *DB) At(pc uint32) []*Invariant {
 // SPOffsetAt returns the stack-pointer offset invariant at pc, if one was
 // learned: spEntry = spHere + delta.
 func (db *DB) SPOffsetAt(pc uint32) (delta uint32, ok bool) {
-	db.index()
-	for _, inv := range db.byPC[pc] {
+	for _, inv := range db.atPC(pc) {
 		if inv.Kind == KindSPOffset {
 			return uint32(inv.Bound), true
 		}

@@ -63,19 +63,37 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("memory fault: %s at %#x", kind, f.Addr)
 }
 
-// pageGroup is one second-level page-table node: storage and COW metadata
-// for a 4 MiB-aligned run of 1024 pages. shared[i] marks a page whose
-// storage is referenced by at least one clone; it must be copied before
-// this Memory writes it.
+// Frame is the storage of one page.
+type Frame [PageSize]byte
+
+// zeroFrame backs every mapped page that has never been written. No
+// Memory ever writes it: the first write to such a page copies it.
+var zeroFrame Frame
+
+// Page flags. A page with any flag set is read-only to this Memory: the
+// first write copies its frame into a private one and clears the flags.
+const (
+	// pageShared marks a frame referenced by at least one clone. Copying
+	// it is a COW break, counted in CowBreaks.
+	pageShared uint8 = 1 << iota
+	// pageBorrowed marks a frame this Memory does not own: the shared
+	// zero frame, or a frame handed to MapFrame. Copying it materializes
+	// the page and is not counted: a page the Memory had owned from the
+	// start would have cost the same copy at Map time.
+	pageBorrowed
+)
+
+// pageGroup is one second-level page-table node: frames and COW metadata
+// for a 4 MiB-aligned run of 1024 pages.
 type pageGroup struct {
-	pages  [groupPages][]byte
-	shared [groupPages]bool
+	pages [groupPages][]byte
+	flags [groupPages]uint8
 }
 
 // tlbEntry caches one translation. tag is the page number plus one so the
 // zero value never matches; page is the backing frame; writable is false
-// for COW-shared pages, forcing writes through the slow path that copies
-// the page first.
+// for shared or borrowed frames, forcing writes through the slow path
+// that copies the page first.
 type tlbEntry struct {
 	tag      uint32
 	writable bool
@@ -97,6 +115,10 @@ type tlbEntry struct {
 // writer copies just that page. A clone therefore costs one page-table
 // copy up front and one page copy per page actually dirtied — the
 // property the snapshot/replay machinery depends on.
+//
+// Map and MapFrame use the same mechanism: a freshly mapped page borrows
+// the shared zero frame (or the caller's frame) and gets a frame of its
+// own only when first written, so mapping costs no page storage.
 type Memory struct {
 	groups [numGroups]*pageGroup
 	tlb    [tlbSize]tlbEntry
@@ -139,7 +161,7 @@ func (m *Memory) Clone() *Memory {
 		// the group wholesale so the clone inherits the shared bits.
 		for si := range g.pages {
 			if g.pages[si] != nil {
-				g.shared[si] = true
+				g.flags[si] |= pageShared
 			}
 		}
 		cg := new(pageGroup)
@@ -159,7 +181,8 @@ func (m *Memory) PageCount() int { return m.pageCount }
 // the dirty-page count a snapshot's cost is proportional to.
 func (m *Memory) CowBreaks() uint64 { return m.cowBreaks }
 
-// Map makes [addr, addr+size) accessible, zero filled.
+// Map makes [addr, addr+size) accessible, zero filled. Pages already
+// mapped keep their contents; new ones borrow the shared zero frame.
 func (m *Memory) Map(addr, size uint32) {
 	if size == 0 {
 		return
@@ -167,19 +190,54 @@ func (m *Memory) Map(addr, size uint32) {
 	first := addr >> pageShift
 	last := (addr + size - 1) >> pageShift
 	for pn := first; ; pn++ {
-		g := m.groups[pn>>groupShift]
-		if g == nil {
-			g = new(pageGroup)
-			m.groups[pn>>groupShift] = g
-		}
+		g := m.group(pn)
 		if g.pages[pn&groupMask] == nil {
-			g.pages[pn&groupMask] = make([]byte, PageSize)
+			g.pages[pn&groupMask] = zeroFrame[:]
+			g.flags[pn&groupMask] = pageBorrowed
 			m.pageCount++
 		}
 		if pn == last {
 			break
 		}
 	}
+}
+
+// MapFrame maps the page holding addr onto f, replacing what was mapped
+// there. The page reads f's bytes and copies f before its first write, so
+// any number of memories may share one frame; the caller must never write
+// f after handing it over.
+func (m *Memory) MapFrame(addr uint32, f *Frame) {
+	pn := addr >> pageShift
+	g := m.group(pn)
+	if g.pages[pn&groupMask] == nil {
+		m.pageCount++
+	}
+	g.pages[pn&groupMask] = f[:]
+	g.flags[pn&groupMask] = pageBorrowed
+	m.tlb[pn&tlbMask] = tlbEntry{}
+}
+
+// BackedBy reports whether the page holding addr is still backed by f:
+// mapped from it and not written since, here or in the memory this one
+// was cloned from.
+func (m *Memory) BackedBy(addr uint32, f *Frame) bool {
+	pn := addr >> pageShift
+	g := m.groups[pn>>groupShift]
+	if g == nil || f == nil {
+		return false
+	}
+	p := g.pages[pn&groupMask]
+	return p != nil && &p[0] == &f[0]
+}
+
+// group returns the page-table node for page pn, creating it if needed.
+func (m *Memory) group(pn uint32) *pageGroup {
+	g := m.groups[pn>>groupShift]
+	if g == nil {
+		g = new(pageGroup)
+		m.groups[pn>>groupShift] = g
+	}
+	return g
 }
 
 // Mapped reports whether addr is accessible.
@@ -201,12 +259,13 @@ func (m *Memory) readPage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr}
 	}
-	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: !g.shared[pn&groupMask], page: p}
+	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: g.flags[pn&groupMask] == 0, page: p}
 	return p, nil
 }
 
-// writePage walks the page table for a writable frame, breaking COW if
-// the page is shared and refilling the TLB with a writable translation.
+// writePage walks the page table for a writable frame, copying a shared
+// or borrowed frame first and refilling the TLB with a writable
+// translation.
 func (m *Memory) writePage(addr uint32) ([]byte, error) {
 	pn := addr >> pageShift
 	g := m.groups[pn>>groupShift]
@@ -218,12 +277,14 @@ func (m *Memory) writePage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr, Write: true}
 	}
-	if g.shared[si] {
+	if f := g.flags[si]; f != 0 {
 		dup := make([]byte, PageSize)
 		copy(dup, p)
 		g.pages[si] = dup
-		g.shared[si] = false
-		m.cowBreaks++
+		g.flags[si] = 0
+		if f&pageShared != 0 {
+			m.cowBreaks++
+		}
 		p = dup
 	}
 	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: true, page: p}
@@ -431,7 +492,8 @@ func (m *Memory) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary reconstructs an address space serialized by
-// MarshalBinary. The result owns all its pages (no sharing).
+// MarshalBinary. All-zero pages borrow the shared zero frame; the result
+// owns every other page.
 func (m *Memory) UnmarshalBinary(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("mem: truncated page table header: %d bytes", len(b))
@@ -459,24 +521,21 @@ func (m *Memory) UnmarshalBinary(b []byte) error {
 		if pn >= 1<<(32-pageShift) {
 			return fmt.Errorf("mem: page index %#x out of range", pn)
 		}
-		page := make([]byte, PageSize)
+		page, flags := zeroFrame[:], pageBorrowed
 		if flag != 0 {
 			if len(b) < PageSize {
 				return fmt.Errorf("mem: truncated page data for page %#x", pn)
 			}
+			page, flags = make([]byte, PageSize), 0
 			copy(page, b[:PageSize])
 			b = b[PageSize:]
 		}
-		g := m.groups[pn>>groupShift]
-		if g == nil {
-			g = new(pageGroup)
-			m.groups[pn>>groupShift] = g
-		}
+		g := m.group(pn)
 		if g.pages[pn&groupMask] == nil {
 			m.pageCount++
 		}
 		g.pages[pn&groupMask] = page
-		g.shared[pn&groupMask] = false
+		g.flags[pn&groupMask] = flags
 	}
 	return nil
 }

@@ -102,10 +102,22 @@ type Repair struct {
 	SPDelta  uint32 // StratReturnProc: learned ESP offset at the patch point
 	PC       uint32 // enforcement instruction
 	Depth    int    // call-stack depth of the enclosing procedure (0 = failure proc)
+
+	// id is ID's result, formatted once by Generate: a deployed repair's
+	// ID is read on every run (patch IDs and evaluator credit). A repair
+	// built as a literal formats its ID per call.
+	id string
 }
 
 // ID returns a stable identifier.
 func (r *Repair) ID() string {
+	if r.id != "" {
+		return r.id
+	}
+	return r.formatID()
+}
+
+func (r *Repair) formatID() string {
 	if r.Strategy == StratSetValue {
 		return fmt.Sprintf("%s/%s=%#x", r.Inv.ID(), r.Strategy, r.Value)
 	}
@@ -156,6 +168,7 @@ func Generate(c correlate.Candidate, instAt InstAt, spOffset func(pc uint32) (ui
 		r.Inv = inv
 		r.PC = pc
 		r.Depth = c.Depth
+		r.id = r.formatID()
 		out = append(out, r)
 	}
 	switch inv.Kind {

@@ -75,6 +75,39 @@ func TestGenerateOneOfCallTarget(t *testing.T) {
 	}
 }
 
+// TestGeneratedIDsFormattedOnce: Generate formats each repair's ID once,
+// and the memoised ID equals the one a literal repair with the same
+// fields formats per call (the form replay specs and community
+// directives rebuild).
+func TestGeneratedIDsFormattedOnce(t *testing.T) {
+	img, labels := mkImage(t, func(a *asm.Assembler) {
+		a.Label("main")
+		a.Label("site")
+		a.CallM(asm.M(isa.EDI, 0))
+		a.Sys(isa.SysExit)
+	})
+	site := labels["site"]
+	inv := &daikon.Invariant{Kind: daikon.KindOneOf, Var: vid(site, 2), Values: []uint32{0x1100, 0x1200}}
+	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), func(pc uint32) (uint32, bool) { return 4, pc == site })
+	seen := map[string]bool{}
+	for _, r := range rs {
+		if r.id == "" {
+			t.Fatalf("%v: ID not memoised by Generate", r.Strategy)
+		}
+		lit := &Repair{Inv: r.Inv, Strategy: r.Strategy, Value: r.Value, SPDelta: r.SPDelta, PC: r.PC, Depth: r.Depth}
+		if r.ID() != lit.ID() || lit.id != "" {
+			t.Fatalf("memoised ID %q, literal repair formats %q", r.ID(), lit.ID())
+		}
+		if seen[r.ID()] {
+			t.Fatalf("duplicate ID %q", r.ID())
+		}
+		seen[r.ID()] = true
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = rs[0].ID() }); allocs != 0 {
+		t.Fatalf("memoised ID allocates %.0f times per call", allocs)
+	}
+}
+
 func TestGenerateOneOfNonCallHasNoSkip(t *testing.T) {
 	img, labels := mkImage(t, func(a *asm.Assembler) {
 		a.Label("main")

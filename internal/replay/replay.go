@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync"
 
 	"repro/internal/daikon"
 	"repro/internal/image"
@@ -151,6 +152,11 @@ type Recording struct {
 	ExitCode uint32      // see Outcome
 	Failure  *vm.Failure // see Outcome
 	Steps    uint64      // see Outcome
+
+	// decoded returns Image decoded once, so every replay loads the same
+	// *image.Image and shares its decode table. Seal and Unmarshal set it;
+	// gob skips it, and a copy of the recording shares it.
+	decoded func() (*image.Image, error)
 }
 
 // FailurePC returns the recorded failure location, if the run failed.
@@ -172,11 +178,12 @@ func (r *Recording) Marshal() ([]byte, error) {
 
 // Unmarshal deserializes a recording.
 func Unmarshal(b []byte) (*Recording, error) {
-	var r Recording
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
+	r := new(Recording)
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(r); err != nil {
 		return nil, fmt.Errorf("replay: decode recording: %w", err)
 	}
-	return &r, nil
+	r.decoded = sync.OnceValues(func() (*image.Image, error) { return image.Unmarshal(r.Image) })
+	return r, nil
 }
 
 // Tape collects snapshots during a run and seals them into a Recording.
@@ -227,6 +234,7 @@ func (t *Tape) Seal(id string, img *image.Image, input []byte, deployed []PatchS
 		ExitCode:  res.ExitCode,
 		Failure:   res.Failure,
 		Steps:     res.Steps,
+		decoded:   func() (*image.Image, error) { return img, nil },
 	}
 	t.snaps = nil
 	return rec
@@ -309,8 +317,16 @@ func compileSpecs(specs []PatchSpec, excludeFailureID string) []*vm.Patch {
 	return out
 }
 
-// DecodeImage returns the recording's binary image.
+// DecodeImage returns the recording's binary image. A recording made by
+// Seal or Unmarshal decodes it once and returns the same image on every
+// call, so its replays share one decode table; if Image no longer matches
+// the cached image (a copy whose Image was replaced), it decodes afresh.
 func (r *Recording) DecodeImage() (*image.Image, error) {
+	if r.decoded != nil {
+		if img, err := r.decoded(); err == nil && img.Matches(r.Image) {
+			return img, nil
+		}
+	}
 	return image.Unmarshal(r.Image)
 }
 

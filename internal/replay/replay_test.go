@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -122,6 +123,54 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 	if ff.Outcome == vm.OutcomeExit && ff.ExitCode == 0 {
 		t.Fatalf("fast-forwarded failing run exited cleanly: %+v", ff)
+	}
+}
+
+// TestRecordingDecodesImageOnce: every replay of one recording loads the
+// same *image.Image, so its machines share one decode table — the live
+// image for a sealed recording, one decoded image for a deserialized one
+// — while a copy whose Image bytes were replaced decodes its own.
+func TestRecordingDecodesImageOnce(t *testing.T) {
+	setup := baseSetup(t)
+	rec, _, err := redteam.RecordAttack(setup, exploit(t, "290162"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err := rec.DecodeImage(); err != nil || img != setup.App.Image {
+		t.Fatalf("sealed recording decodes %p, %v; want the recorded machine's image %p", img, err, setup.App.Image)
+	}
+	raw, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := replay.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := back.DecodeImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.DecodeImage(); again != first || first == setup.App.Image || !first.Matches(back.Image) {
+		t.Fatalf("deserialized recording decoded %p then %p", first, again)
+	}
+	same := *back
+	if img, _ := same.DecodeImage(); img != first {
+		t.Fatal("a copy with the same image bytes decoded again")
+	}
+
+	moved := *back
+	moved.Image = append([]byte(nil), back.Image...)
+	binary.LittleEndian.PutUint32(moved.Image[8:], first.Entry+8) // header: magic, base, entry
+	img, err := moved.DecodeImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img == first || img.Entry != first.Entry+8 {
+		t.Fatalf("a copy with replaced image bytes got the cached image (entry %#x)", img.Entry)
+	}
+	if img, _ := back.DecodeImage(); img != first {
+		t.Fatal("decoding a modified copy replaced the original's cached image")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // Hook priorities. At one instruction, hooks run in ascending priority
@@ -287,27 +288,56 @@ func (v *VM) fetchBlock(pc uint32) (*Block, error) {
 	return b, nil
 }
 
-// decodeBlock reads instructions from pc until a block terminator.
+// decodeBlock reads instructions from pc until a block terminator. Each
+// page the block spans chooses where its instructions come from: the
+// image's shared decode table while the page is still the image's own
+// frame, or a decode of the bytes in memory once the guest has written
+// it. A block read wholly from the table is a capped sub-slice of it, so
+// its instructions cost nothing per machine.
 func (v *VM) decodeBlock(pc uint32) (*Block, error) {
+	dec := v.Image.Decoded()
+	first, slotted := dec.Slot(pc)
+	aliased := slotted // every instruction so far came from table slot first+n
+	fromTable := false
 	b := &Block{Start: pc}
+	n := 0
 	for addr := pc; ; addr += isa.InstSize {
 		if !v.InCode(addr) {
 			return nil, fmt.Errorf("instruction fetch outside code region at %#x", addr)
 		}
-		raw, err := v.Mem.ReadBytes(addr, isa.InstSize)
-		if err != nil {
-			return nil, fmt.Errorf("instruction fetch fault at %#x", addr)
+		if addr == pc || addr%mem.PageSize == 0 {
+			fromTable = slotted && v.Mem.BackedBy(addr, dec.Frame(addr))
 		}
-		in, err := isa.Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("undecodable instruction at %#x: %v", addr, err)
+		var in isa.Inst
+		if fromTable && first+n < len(dec.Insts) && dec.Insts[first+n].Op.Valid() {
+			in = dec.Insts[first+n]
+		} else {
+			if aliased {
+				b.Insts = append([]isa.Inst(nil), dec.Insts[first:first+n]...)
+				b.Addrs = append([]uint32(nil), dec.Addrs[first:first+n]...)
+				aliased = false
+			}
+			raw, err := v.Mem.ReadBytes(addr, isa.InstSize)
+			if err != nil {
+				return nil, fmt.Errorf("instruction fetch fault at %#x", addr)
+			}
+			if in, err = isa.Decode(raw); err != nil {
+				return nil, fmt.Errorf("undecodable instruction at %#x: %v", addr, err)
+			}
 		}
-		b.Insts = append(b.Insts, in)
-		b.Addrs = append(b.Addrs, addr)
+		n++
+		if !aliased {
+			b.Insts = append(b.Insts, in)
+			b.Addrs = append(b.Addrs, addr)
+		}
 		if in.Op == isa.COPYB || !fuseSafe(&in) {
 			b.noFuse = true
 		}
 		if in.Op.EndsBlock() {
+			if aliased {
+				b.Insts = dec.Insts[first : first+n : first+n]
+				b.Addrs = dec.Addrs[first : first+n : first+n]
+			}
 			return b, nil
 		}
 	}

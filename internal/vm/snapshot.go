@@ -76,7 +76,7 @@ func (v *VM) Restore(s *Snapshot) {
 	v.steps = s.Steps
 	v.hookRuns = s.HookRuns
 	v.blocks = s.Blocks
-	v.cache = make(map[uint32]*Block)
+	v.cache = make(map[uint32]*Block, v.Image.Decoded().Blocks)
 	v.addrIndex = nil    // rebuilt lazily if another patch lands
 	v.cacheGen++         // orphan successor links and superblocks held by pre-restore blocks
 	v.lastBlock = 0      // coverage resumes with a fresh entry edge

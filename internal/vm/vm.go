@@ -272,10 +272,12 @@ func New(cfg Config) (*VM, error) {
 	if cfg.HeapSize == 0 {
 		cfg.HeapSize = DefaultHeapSize
 	}
+	// Code pages map the image's own frames copy-on-write and the stack
+	// maps the shared zero frame, so no page is allocated until written.
+	dec := cfg.Image.Decoded()
 	m := mem.New()
-	m.Map(cfg.Image.Base, uint32(len(cfg.Image.Code)))
-	if err := m.WriteBytes(cfg.Image.Base, cfg.Image.Code); err != nil {
-		return nil, err
+	for i, f := range dec.Frames {
+		m.MapFrame(dec.FrameBase+uint32(i)*mem.PageSize, f)
 	}
 	m.Map(cfg.StackTop-cfg.StackSize, cfg.StackSize)
 	v := &VM{
@@ -284,7 +286,7 @@ func New(cfg Config) (*VM, error) {
 		Image:    cfg.Image,
 		plugins:  cfg.Plugins,
 		patches:  newPatchSet(),
-		cache:    make(map[uint32]*Block),
+		cache:    make(map[uint32]*Block, dec.Blocks),
 		input:    cfg.Input,
 		maxSteps: cfg.MaxSteps,
 		stackLo:  cfg.StackTop - cfg.StackSize,
